@@ -131,8 +131,15 @@ def requantize(
     if shift <= 0:
         return saturate_raw(arr << (-shift), out_fmt)
     if rounding is Rounding.NEAREST:
-        half = 1 << (shift - 1)
-        shifted = np.where(arr >= 0, (arr + half) >> shift, -((-arr + half) >> shift))
+        # Round half away from zero on the magnitude, in one in-place pass:
+        # |x| + half >> shift, then restore the sign (sign(0) = 0 is exact
+        # because half < 2**shift rounds a zero magnitude to zero).
+        shifted = np.abs(arr, out=np.empty_like(arr))
+        shifted += 1 << (shift - 1)
+        shifted >>= shift
+        shifted *= np.sign(arr)
+        np.clip(shifted, out_fmt.raw_min, out_fmt.raw_max, out=shifted)
+        return shifted if shifted.ndim else shifted[()]
     elif rounding is Rounding.FLOOR:
         shifted = arr >> shift
     elif rounding is Rounding.ZERO:

@@ -94,3 +94,44 @@ def test_saturate_raw_always_within(values, bits):
     out = saturate_raw(np.array(values), fmt)
     assert out.min() >= fmt.raw_min
     assert out.max() <= fmt.raw_max
+
+
+def _requantize_nearest_reference(raw, in_fmt, out_fmt):
+    """Round-half-away-from-zero as two fully computed branches."""
+    arr = np.asarray(raw, dtype=np.int64)
+    shift = in_fmt.frac_bits - out_fmt.frac_bits
+    half = 1 << (shift - 1)
+    shifted = np.where(arr >= 0, (arr + half) >> shift, -((-arr + half) >> shift))
+    return saturate_raw(shifted, out_fmt)
+
+
+@given(
+    values=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=64),
+    in_frac=st.integers(1, 30),
+    drop=st.integers(1, 30),
+    out_bits=st.integers(2, 32),
+    signed=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_fused_nearest_requantize_matches_branch_formula(
+    values, in_frac, drop, out_bits, signed
+):
+    in_fmt = QFormat(48, in_frac)
+    out_fmt = QFormat(out_bits, in_frac - drop, signed=signed)
+    raw = np.array(values + [0, 1, -1], dtype=np.int64)
+    before = raw.copy()
+    got = requantize(raw, in_fmt, out_fmt)
+    np.testing.assert_array_equal(
+        got, _requantize_nearest_reference(raw, in_fmt, out_fmt)
+    )
+    np.testing.assert_array_equal(raw, before)  # input left untouched
+
+
+def test_fused_requantize_keeps_scalar_and_view_inputs():
+    scalar = requantize(np.int64(-96), ACC, DATA)
+    assert isinstance(scalar, np.integer) and scalar == -2
+    strided = np.arange(-600, 600, dtype=np.int64).reshape(40, 30).T
+    np.testing.assert_array_equal(
+        requantize(strided, ACC, DATA),
+        _requantize_nearest_reference(strided, ACC, DATA),
+    )
